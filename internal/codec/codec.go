@@ -24,7 +24,9 @@ const (
 )
 
 // Encode serializes a value. []float64, []float32, []byte and string use
-// compact fast paths; everything else goes through gob.
+// compact fast paths; everything else goes through gob. The result is a
+// fresh buffer the caller owns: this is the one serialization copy of a put,
+// and the object store adopts the buffer without copying it again.
 func Encode(v any) ([]byte, error) {
 	switch x := v.(type) {
 	case []float64:
@@ -73,6 +75,13 @@ func MustEncode(v any) []byte {
 
 // Decode deserializes data produced by Encode into out, which must be a
 // pointer to a value of the encoded type.
+//
+// A []byte result is a view of data, not a copy: it shares data's backing
+// array, with its capacity clipped to its length so that an append
+// reallocates instead of writing past the payload. Payloads read from the
+// object store are immutable and shared by every reader on the node, so a
+// caller must copy a decoded []byte before mutating it — the read-only
+// contract of Ray's get. Every other type is decoded into fresh memory.
 func Decode(data []byte, out any) error {
 	if len(data) == 0 {
 		return fmt.Errorf("codec: empty payload")
@@ -112,7 +121,7 @@ func Decode(data []byte, out any) error {
 		if !ok {
 			return fmt.Errorf("codec: payload is []byte, destination is %T", out)
 		}
-		*p = append([]byte(nil), payload...)
+		*p = payload[:len(payload):len(payload)]
 		return nil
 	case tagString:
 		p, ok := out.(*string)

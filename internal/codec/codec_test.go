@@ -48,6 +48,35 @@ func TestBytesAndStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedBytesAreClippedView: a decoded []byte shares the payload's
+// memory instead of copying it, and its capacity is clipped so an append
+// reallocates rather than writing into the shared buffer — here one with
+// spare capacity, as a payload read back from a spill file has.
+func TestDecodedBytesAreClippedView(t *testing.T) {
+	data := make([]byte, 0, 64)
+	data = append(data, MustEncode([]byte("shared"))...)
+	var out []byte
+	if err := Decode(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if string(out) != "shared" {
+		t.Fatalf("decoded %q", out)
+	}
+	if &out[0] != &data[1] {
+		t.Fatal("decode copied the payload instead of returning a view")
+	}
+	if cap(out) != len(out) {
+		t.Fatalf("view capacity %d, want %d (clipped to its length)", cap(out), len(out))
+	}
+	grown := append(out, '!')
+	if &grown[0] == &data[1] {
+		t.Fatal("append on a decoded view wrote into the input's backing array")
+	}
+	if string(data[1:]) != "shared" || data[:cap(data)][len(data)] != 0 {
+		t.Fatal("append on a decoded view changed the input")
+	}
+}
+
 type trajectory struct {
 	States  [][]float64
 	Rewards []float64
@@ -147,5 +176,26 @@ func TestFloat64Property(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkDecodeBytes measures decoding an encoded []byte at a medium and a
+// large object size; run with -benchmem to see the bytes copied per read.
+func BenchmarkDecodeBytes(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		size int
+	}{{"64KiB", 64 << 10}, {"8MiB", 8 << 20}} {
+		b.Run(tc.name, func(b *testing.B) {
+			data := MustEncode(make([]byte, tc.size))
+			b.SetBytes(int64(tc.size))
+			b.ReportAllocs()
+			for b.Loop() {
+				var out []byte
+				if err := Decode(data, &out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -258,6 +258,9 @@ func (r *Runtime) Register(name string, doc string, fn worker.Function) error {
 // invocation, recording the declared arity in the GCS function table (the
 // typed ray package passes the arity of the registered handle here; Register
 // used to hardcode 1 regardless of the function's actual return count).
+// fn's arguments alias immutable objects and its outputs are adopted by the
+// object store without a copy (see worker.Function): copy an argument before
+// mutating it, and never write to an output after returning it.
 func (r *Runtime) RegisterN(name string, doc string, numReturns int, fn worker.Function) error {
 	if numReturns < 1 {
 		numReturns = 1

@@ -130,8 +130,19 @@ type assembly struct {
 	chunkBytes  int64
 	windowBytes int64
 	windows     int
-	chunks      int
 	size        int64
+}
+
+// span returns the byte range [lo, hi) of window w. Every window but the
+// last covers windowBytes; the last runs to the end of the object, so it
+// also carries the tail that does not fill a whole chunk.
+func (a *assembly) span(w int) (lo, hi int64) {
+	lo = int64(w) * a.windowBytes
+	hi = lo + a.windowBytes
+	if w == a.windows-1 {
+		hi = a.size
+	}
+	return lo, hi
 }
 
 // New creates an object manager for the given node.
@@ -451,18 +462,15 @@ func (m *Manager) fetchChunked(ctx context.Context, id types.ObjectID, entry *gc
 		w := todo[i]
 		m.inflightWin.Inc()
 		defer m.inflightWin.Dec()
-		if err := m.fetchWindow(fetchCtx, id, a.pending.Data(), a.windowBytes, w, sources); err != nil {
+		lo, hi := a.span(w)
+		if err := m.fetchWindow(fetchCtx, id, a.pending.Data(), lo, hi, w, sources); err != nil {
 			return err
 		}
 		a.done[w] = true
 		// Count chunks at window granularity so resumed pulls account each
-		// chunk exactly once across attempts.
-		lo := int64(w) * a.windowBytes
-		hi := lo + a.windowBytes
-		if hi > a.size {
-			hi = a.size
-		}
-		m.chunksPulled.Add((hi - lo + a.chunkBytes - 1) / a.chunkBytes)
+		// chunk exactly once across attempts. The sub-chunk remainder rides
+		// in the last chunk, so the count rounds down.
+		m.chunksPulled.Add((hi - lo) / a.chunkBytes)
 		return nil
 	})
 	if err != nil {
@@ -520,15 +528,21 @@ func (m *Manager) assemblyFor(id types.ObjectID, size int64, isError bool) (*ass
 		return nil, nil
 	}
 
+	// The object moves as size/chunkBytes whole chunks, rounded down: a tail
+	// shorter than a chunk rides in the last chunk instead of costing a
+	// chunk (and, at full stripe width, a window) of its own. An 8 MiB
+	// []byte is 8 MiB plus the codec's tag byte, and must still move as 8
+	// chunks over 8 streams, not 9.
+	//
 	// Shrink the chunk when the object has fewer full chunks than streams,
 	// so every stream still carries a share (a 2 MB object over 8 streams
 	// moves as 8 × 256 KB, not 2 × 1 MB over a quarter of the streams) —
 	// matching the full striping the blocking path gets from Transfer.
 	chunkBytes := m.cfg.ChunkBytes
-	if perStream := (size + int64(m.cfg.TransferStreams) - 1) / int64(m.cfg.TransferStreams); chunkBytes > perStream {
+	if perStream := max(1, size/int64(m.cfg.TransferStreams)); chunkBytes > perStream {
 		chunkBytes = perStream
 	}
-	chunks := int((size + chunkBytes - 1) / chunkBytes)
+	chunks := max(1, int(size/chunkBytes))
 	// Likewise shrink the window when the object is small relative to the
 	// stream count: keeping every stream busy beats deep windows (a
 	// full-depth window on an object with few chunks would idle streams).
@@ -536,29 +550,22 @@ func (m *Manager) assemblyFor(id types.ObjectID, size int64, isError bool) (*ass
 	if perStream := (chunks + m.cfg.TransferStreams - 1) / m.cfg.TransferStreams; depth > perStream {
 		depth = perStream
 	}
-	windowBytes := chunkBytes * int64(depth)
-	windows := int((size + windowBytes - 1) / windowBytes)
+	windows := (chunks + depth - 1) / depth
 	return &assembly{
 		pending:     pending,
 		done:        make([]bool, windows),
 		chunkBytes:  chunkBytes,
-		windowBytes: windowBytes,
+		windowBytes: chunkBytes * int64(depth),
 		windows:     windows,
-		chunks:      chunks,
 		size:        size,
 	}, nil
 }
 
-// fetchWindow copies one window of chunks into buf, trying each replica in
-// turn (starting at a per-window offset so concurrent windows stripe across
-// replicas) and re-resolving the source on every attempt so a replica that
-// died mid-transfer is skipped.
-func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, buf []byte, windowBytes int64, window int, sources []types.NodeID) error {
-	lo := int64(window) * windowBytes
-	hi := lo + windowBytes
-	if hi > int64(len(buf)) {
-		hi = int64(len(buf))
-	}
+// fetchWindow copies window (bytes [lo, hi)) into buf, trying each replica
+// in turn (starting at a per-window offset so concurrent windows stripe
+// across replicas) and re-resolving the source on every attempt so a replica
+// that died mid-transfer is skipped.
+func (m *Manager) fetchWindow(ctx context.Context, id types.ObjectID, buf []byte, lo, hi int64, window int, sources []types.NodeID) error {
 	var lastErr error
 	for attempt := 0; attempt < len(sources); attempt++ {
 		src := sources[(window+attempt)%len(sources)]

@@ -280,7 +280,8 @@ func TestChunkedPullAssemblesCorrectly(t *testing.T) {
 		t.Fatal("chunked pull missing or corrupt")
 	}
 	st := env.mgrs[1].Stats()
-	wantChunks := int64((len(payload) + (64 << 10) - 1) / (64 << 10))
+	// The 3-byte tail rides in the last chunk rather than costing its own.
+	wantChunks := int64(len(payload) / (64 << 10))
 	if st.ChunkedPulls != 1 || st.ChunksPulled != wantChunks {
 		t.Fatalf("chunk accounting wrong: %+v (want %d chunks)", st, wantChunks)
 	}
@@ -483,74 +484,100 @@ func TestCancelledWaiterStillFails(t *testing.T) {
 	}
 }
 
+// TestCancelledChunkedPullResumesWithoutRefetch cancels a chunked pull part
+// of the way through and restarts it: the parked assembly is reused, only the
+// missing windows are fetched, and every chunk is counted exactly once — also
+// for an 8 MiB + 1 byte object, whose tail byte rides in the last chunk.
+func TestCancelledChunkedPullResumesWithoutRefetch(t *testing.T) {
+	cases := []struct {
+		name string
+		size int
+		// Slow enough that a pull can be cancelled mid-transfer: each window
+		// takes 20–50 ms on its stream.
+		net        netsim.Config
+		cfg        Config
+		wantChunks int64
+	}{
+		{
+			name:       "8x32KiB",
+			size:       256 << 10,
+			net:        netsim.Config{BandwidthBytesPerSec: 1.6e6, MaxParallelStreams: 1, TimeScale: 1},
+			cfg:        Config{TransferStreams: 1, ChunkBytes: 32 << 10, PipelineDepth: 1},
+			wantChunks: 8,
+		},
+		{
+			name:       "8MiB+1",
+			size:       taggedSize,
+			net:        netsim.Config{BandwidthBytesPerSec: 2e7, MaxParallelStreams: 1, TimeScale: 1},
+			cfg:        Config{TransferStreams: 2, ChunkBytes: 1 << 20, PipelineDepth: 1},
+			wantChunks: 8,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := gcs.New(gcs.Config{Shards: 2, ReplicationFactor: 1})
+			defer g.Close()
+			cluster := newFakeCluster()
+			net := netsim.New(tc.net)
+			src, dst := types.NewNodeID(), types.NewNodeID()
+			srcStore := objectstore.New(objectstore.Config{CapacityBytes: 1 << 26})
+			dstStore := objectstore.New(objectstore.Config{CapacityBytes: 1 << 26})
+			cluster.add(src, srcStore)
+			cluster.add(dst, dstStore)
+			mSrc := New(tc.cfg, src, srcStore, g, net, cluster)
+			mDst := New(tc.cfg, dst, dstStore, g, net, cluster)
+
+			ctx := context.Background()
+			id := types.NewObjectID()
+			payload := patterned(tc.size)
+			if err := mSrc.Put(ctx, id, payload, false, types.NilTaskID); err != nil {
+				t.Fatal(err)
+			}
+
+			// Start a pull and cancel it once a few windows have landed.
+			pullCtx, cancel := context.WithCancel(ctx)
+			errCh := make(chan error, 1)
+			go func() { errCh <- mDst.Pull(pullCtx, id) }()
+			deadline := time.Now().Add(5 * time.Second)
+			for mDst.Stats().ChunksPulled < 2 {
+				if time.Now().After(deadline) {
+					t.Fatal("pull never made progress")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			if err := <-errCh; err == nil {
+				t.Fatal("cancelled pull must report an error")
+			}
+			fetchedBeforeResume := mDst.Stats().ChunksPulled
+			if fetchedBeforeResume >= tc.wantChunks {
+				t.Skip("transfer finished before cancellation landed; resume not exercised")
+			}
+
+			// Restart under a fresh context: the parked assembly must be
+			// reused and only the missing windows fetched.
+			if err := mDst.Pull(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+			obj, ok := dstStore.Get(id)
+			if !ok || !bytes.Equal(obj.Data, payload) {
+				t.Fatal("resumed pull produced a corrupt object")
+			}
+			st := mDst.Stats()
+			if st.ChunksPulled != tc.wantChunks {
+				t.Fatalf("no chunk may be transferred twice: fetched %d chunks, want %d", st.ChunksPulled, tc.wantChunks)
+			}
+			if st.ResumedPulls != 1 || st.ResumedWindows != fetchedBeforeResume {
+				t.Fatalf("resume accounting wrong: %+v (windows done before resume: %d)", st, fetchedBeforeResume)
+			}
+		})
+	}
+}
+
 // TestEvictThenRepullLocationConsistency reproduces the evict/re-put race:
 // the eviction's asynchronous GCS location removal must not land after the
 // same object has been re-admitted and re-registered, or the directory goes
 // blind to a resident replica.
-func TestCancelledChunkedPullResumesWithoutRefetch(t *testing.T) {
-	g := gcs.New(gcs.Config{Shards: 2, ReplicationFactor: 1})
-	defer g.Close()
-	cluster := newFakeCluster()
-	// Slow enough that a pull can be cancelled mid-transfer: one stream,
-	// ~20ms per 32 KiB window.
-	net := netsim.New(netsim.Config{BandwidthBytesPerSec: 1.6e6, MaxParallelStreams: 1, TimeScale: 1})
-	cfg := Config{TransferStreams: 1, ChunkBytes: 32 << 10, PipelineDepth: 1}
-	src, dst := types.NewNodeID(), types.NewNodeID()
-	srcStore := objectstore.New(objectstore.Config{CapacityBytes: 1 << 26})
-	dstStore := objectstore.New(objectstore.Config{CapacityBytes: 1 << 26})
-	cluster.add(src, srcStore)
-	cluster.add(dst, dstStore)
-	mSrc := New(cfg, src, srcStore, g, net, cluster)
-	mDst := New(cfg, dst, dstStore, g, net, cluster)
-
-	ctx := context.Background()
-	id := types.NewObjectID()
-	payload := make([]byte, 256<<10) // 8 windows of 32 KiB
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	if err := mSrc.Put(ctx, id, payload, false, types.NilTaskID); err != nil {
-		t.Fatal(err)
-	}
-
-	// Start a pull and cancel it once a few windows have landed.
-	pullCtx, cancel := context.WithCancel(ctx)
-	errCh := make(chan error, 1)
-	go func() { errCh <- mDst.Pull(pullCtx, id) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for mDst.Stats().ChunksPulled < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("pull never made progress")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-errCh; err == nil {
-		t.Fatal("cancelled pull must report an error")
-	}
-	fetchedBeforeResume := mDst.Stats().ChunksPulled
-	if fetchedBeforeResume >= 8 {
-		t.Skip("transfer finished before cancellation landed; resume not exercised")
-	}
-
-	// Restart under a fresh context: the parked assembly must be reused and
-	// only the missing windows fetched.
-	if err := mDst.Pull(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-	obj, ok := dstStore.Get(id)
-	if !ok || !bytes.Equal(obj.Data, payload) {
-		t.Fatal("resumed pull produced a corrupt object")
-	}
-	st := mDst.Stats()
-	if st.ChunksPulled != 8 {
-		t.Fatalf("no chunk may be transferred twice: fetched %d chunks for an 8-chunk object", st.ChunksPulled)
-	}
-	if st.ResumedPulls != 1 || st.ResumedWindows != fetchedBeforeResume {
-		t.Fatalf("resume accounting wrong: %+v (windows done before resume: %d)", st, fetchedBeforeResume)
-	}
-}
-
 func TestEvictThenRepullLocationConsistency(t *testing.T) {
 	ctx := context.Background()
 	gstore := gcs.New(gcs.Config{Shards: 2, ReplicationFactor: 1})
@@ -644,5 +671,97 @@ func TestWaiterRetriesAfterOriginatorDeadline(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter never completed")
+	}
+}
+
+// barrierResolver holds window fetches at ResolveStore until want of them
+// are waiting at once, proving that many transfer streams run concurrently.
+// The first skip resolutions pass straight through: a pull resolves each
+// source once to filter live replicas and once to probe the object's size
+// before any window starts.
+type barrierResolver struct {
+	inner   PeerResolver
+	skip    int
+	want    int
+	release chan struct{}
+
+	mu      sync.Mutex
+	calls   int
+	waiting int
+	peak    int
+}
+
+func newBarrierResolver(inner PeerResolver, skip, want int) *barrierResolver {
+	return &barrierResolver{inner: inner, skip: skip, want: want, release: make(chan struct{})}
+}
+
+func (b *barrierResolver) ResolveStore(node types.NodeID) (*objectstore.Store, bool) {
+	b.mu.Lock()
+	b.calls++
+	if b.calls <= b.skip {
+		b.mu.Unlock()
+		return b.inner.ResolveStore(node)
+	}
+	b.waiting++
+	b.peak = max(b.peak, b.waiting)
+	select {
+	case <-b.release:
+	default:
+		if b.waiting == b.want {
+			close(b.release)
+		}
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.release:
+	case <-time.After(2 * time.Second):
+	}
+	b.mu.Lock()
+	b.waiting--
+	b.mu.Unlock()
+	return b.inner.ResolveStore(node)
+}
+
+// taggedSize is the size of an encoded 8 MiB []byte: the codec's tag byte
+// spills past the last whole 1 MiB chunk.
+const taggedSize = 8<<20 + 1
+
+// patterned returns an n-byte payload whose bytes vary with their offset, so
+// a misplaced or missing window shows up as a mismatch.
+func patterned(n int) []byte {
+	payload := make([]byte, n)
+	for i := range payload {
+		payload[i] = byte(i * 31)
+	}
+	return payload
+}
+
+func TestTaggedPullUsesOneWindowPerStream(t *testing.T) {
+	env := newTestEnv(t, 1, DefaultConfig())
+	ctx := context.Background()
+	id := types.NewObjectID()
+	payload := patterned(taggedSize)
+	if err := env.mgrs[0].Put(ctx, id, payload, false, types.NilTaskID); err != nil {
+		t.Fatal(err)
+	}
+	puller := types.NewNodeID()
+	store := objectstore.New(objectstore.Config{CapacityBytes: 1 << 26})
+	resolver := newBarrierResolver(env.cluster, 2, 8)
+	mgr := New(DefaultConfig(), puller, store, env.gcs, netsim.New(netsim.InstantConfig()), resolver)
+	if err := mgr.Pull(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	obj, ok := store.Get(id)
+	if !ok || !bytes.Equal(obj.Data, payload) {
+		t.Fatal("pull of an 8 MiB + 1 byte object missing or corrupt")
+	}
+	if resolver.peak != 8 {
+		t.Fatalf("%d windows in flight at once, want all 8 streams busy", resolver.peak)
+	}
+	if got := resolver.calls - resolver.skip; got != 8 {
+		t.Fatalf("%d window fetches, want 8", got)
+	}
+	if st := mgr.Stats(); st.ChunkedPulls != 1 || st.ChunksPulled != 8 {
+		t.Fatalf("chunk accounting wrong: %+v (want 8 chunks)", st)
 	}
 }

@@ -35,7 +35,9 @@ type Object struct {
 	// ID identifies the object cluster-wide.
 	ID types.ObjectID
 	// Data is the serialized payload. Callers must never mutate it: the
-	// buffer is shared zero-copy by every reader on the node.
+	// buffer is shared zero-copy by every reader on the node, and a []byte
+	// decoded from it (codec.Decode) is a view of the same memory. Copy
+	// before mutating.
 	Data []byte
 	// IsError marks objects that hold a serialized application error
 	// (a failed task stores its error so consumers re-raise it at Get).
@@ -161,21 +163,28 @@ func New(cfg Config) *Store {
 	}
 }
 
-// Put stores data under id, copying it into a store-owned buffer. Storing an
-// object that already exists (resident or spilled) is a no-op (objects are
-// immutable, so the existing copy is identical). Put fails with
-// types.ErrStoreFull if the object cannot fit even after evicting every
-// unpinned object.
+// Put stores data under id, copying it into a store-owned buffer: data is
+// borrowed, and the caller may reuse it once Put returns (a replica read from
+// another node's store, a benchmark's reused payload). Storing an object that
+// already exists (resident or spilled) is a no-op (objects are immutable, so
+// the existing copy is identical). Put fails with types.ErrStoreFull if the
+// object cannot fit even after evicting every unpinned object.
 func (s *Store) Put(id types.ObjectID, data []byte, isError bool) error {
 	return s.put(id, data, isError, false)
 }
 
-// PutPrimary is Put for the creator node's copy: under memory pressure the
-// store spills it to disk instead of discarding it.
+// PutPrimary stores the creator node's copy, taking ownership of data
+// without copying it: the buffer becomes the object's Data, shared by every
+// reader on the node. The caller passes a buffer it just serialized and must
+// never write to it again — the one serialization copy is the only memcpy of
+// a put. Under memory pressure the store spills a primary copy to disk
+// instead of discarding it. Otherwise PutPrimary behaves as Put.
 func (s *Store) PutPrimary(id types.ObjectID, data []byte, isError bool) error {
 	return s.put(id, data, isError, true)
 }
 
+// put admits data as the object's Data: a primary copy is adopted as is, any
+// other is copied into a store-owned buffer first.
 func (s *Store) put(id types.ObjectID, data []byte, isError bool, primary bool) error {
 	s.puts.Add(1)
 	size := int64(len(data))
@@ -183,9 +192,12 @@ func (s *Store) put(id types.ObjectID, data []byte, isError bool, primary bool) 
 		return fmt.Errorf("objectstore: object %s (%d bytes) exceeds capacity %d: %w",
 			id, size, s.cfg.CapacityBytes, types.ErrStoreFull)
 	}
-	// Copy outside the lock: this is the memcpy that dominates large-object
-	// creation time in the paper's Figure 9.
-	buf := s.copyPayload(data)
+	buf := data
+	if !primary {
+		// Copy outside the lock: this is the memcpy that dominates
+		// large-object creation time in the paper's Figure 9.
+		buf = s.copyPayload(data)
+	}
 
 	s.mu.Lock()
 	if _, ok := s.objects[id]; ok {

@@ -46,6 +46,35 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
+// TestPutPrimaryAdoptsPutCopies pins the ownership contract of the two
+// entry points: PutPrimary keeps the caller's freshly serialized buffer as
+// the object's Data, while Put copies a borrowed one — on the single-threaded
+// and the parallel copy path alike.
+func TestPutPrimaryAdoptsPutCopies(t *testing.T) {
+	s := New(DefaultConfig())
+	for _, size := range []int{64, 1 << 20} {
+		owned := bytes.Repeat([]byte{1}, size)
+		id := types.NewObjectID()
+		if err := s.PutPrimary(id, owned, false); err != nil {
+			t.Fatal(err)
+		}
+		obj, ok := s.Get(id)
+		if !ok || &obj.Data[0] != &owned[0] || len(obj.Data) != size {
+			t.Fatalf("size %d: PutPrimary did not adopt the caller's buffer", size)
+		}
+
+		borrowed := bytes.Repeat([]byte{2}, size)
+		id = types.NewObjectID()
+		if err := s.Put(id, borrowed, false); err != nil {
+			t.Fatal(err)
+		}
+		obj, ok = s.Get(id)
+		if !ok || &obj.Data[0] == &borrowed[0] || !bytes.Equal(obj.Data, borrowed) {
+			t.Fatalf("size %d: Put must store its own copy of a borrowed buffer", size)
+		}
+	}
+}
+
 func TestPutIdempotent(t *testing.T) {
 	s := New(DefaultConfig())
 	id := types.NewObjectID()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ray/internal/codec"
 	"ray/internal/types"
 )
 
@@ -55,6 +56,40 @@ func TestSpillAndRestore(t *testing.T) {
 	}
 	if s.SpilledBytes() != 60 { // B spilled during the restore
 		t.Fatalf("expected B spilled, spilled bytes=%d", s.SpilledBytes())
+	}
+}
+
+// TestAdoptedBufferSurvivesSpill: a primary copy adopted without a copy
+// spills and restores byte-exact, the caller's buffer is left untouched, and
+// a []byte decoded from the restored copy (whose file-backed buffer has
+// spare capacity) is still a clipped read-only view.
+func TestAdoptedBufferSurvivesSpill(t *testing.T) {
+	s := New(Config{CapacityBytes: 100, SpillDir: t.TempDir()})
+	a := types.NewObjectID()
+	payload := codec.MustEncode([]byte("an adopted, spilled and restored payload"))
+	want := bytes.Clone(payload)
+	if err := s.PutPrimary(a, payload, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutPrimary(types.NewObjectID(), bytes.Repeat([]byte("b"), 60), false); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Spills != 1 {
+		t.Fatalf("expected the adopted object to spill, got %+v", st)
+	}
+	obj, ok := s.Get(a)
+	if !ok || !bytes.Equal(obj.Data, want) || !bytes.Equal(payload, want) {
+		t.Fatal("adopted buffer did not survive spill and restore byte-exact")
+	}
+	if s.Stats().Restores != 1 {
+		t.Fatal("restore not counted")
+	}
+	var view []byte
+	if err := codec.Decode(obj.Data, &view); err != nil {
+		t.Fatal(err)
+	}
+	if cap(view) != len(view) || !bytes.Equal(view, want[1:]) {
+		t.Fatalf("decoded view of a restored object: len %d cap %d", len(view), cap(view))
 	}
 }
 

@@ -256,7 +256,9 @@ func (c *TaskContext) GetRaw(id types.ObjectID) ([]byte, error) {
 }
 
 // Get blocks until the object is available and decodes it into out
-// (a pointer). This is the blocking ray.get of Table 1.
+// (a pointer). This is the blocking ray.get of Table 1. A []byte result is a
+// view of the immutable stored object (codec.Decode): copy it before
+// mutating it.
 func (c *TaskContext) Get(id types.ObjectID, out any) error {
 	data, err := c.GetRaw(id)
 	if err != nil {
@@ -318,6 +320,7 @@ func (c *TaskContext) Wait(ids []types.ObjectID, k int, timeout time.Duration) (
 
 // Put stores a value in the object store and returns its ObjectID, so large
 // values can be shared without re-serializing them into every task spec.
+// Serialization is the put's only copy: the store adopts the encoded buffer.
 func (c *TaskContext) Put(v any) (types.ObjectID, error) {
 	data, err := codec.Encode(v)
 	if err != nil {

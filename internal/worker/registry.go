@@ -20,6 +20,11 @@ import (
 // declared return. Returning an error marks every output of the task as an
 // error object, which consumers re-raise at Get (exactly the paper's
 // semantics for application failures).
+//
+// Arguments alias immutable objects — the node's stored copy or the task
+// spec's inline value — and must be copied before mutation. The object store
+// adopts each returned output without copying it, so the function must not
+// write to an output after returning it.
 type Function func(ctx *TaskContext, args [][]byte) ([][]byte, error)
 
 // Checkpointable is implemented by actor instances that support user-defined

@@ -326,6 +326,8 @@ func Register2R2[A, B, R1, R2 any](rt *Runtime, name, doc string, impl func(ctx 
 // RegisterFuncN registers a raw remote function — serialized arguments in,
 // serialized outputs out, numReturns declared outputs — and returns the
 // variadic handle. The declared arity is recorded in the GCS function table.
+// As with Runtime.RegisterN, fn's arguments are read-only views of stored
+// objects and the store adopts its outputs without copying them.
 func RegisterFuncN(rt *Runtime, name, doc string, numReturns int, fn worker.Function) (FuncN, error) {
 	err := rt.RegisterN(name, doc, numReturns, fn)
 	f := FuncN{name: name}

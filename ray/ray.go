@@ -29,6 +29,11 @@
 // chains like square.RemoteRef(driver, square.Remote(driver, 7)) never block
 // the caller.
 //
+// Objects are immutable. A put serializes its value once and the object
+// store keeps that buffer; a []byte task argument or Get result is a
+// read-only view of it, shared zero-copy with every reader on the node, as
+// Ray's get returns read-only values. Copy such a slice before mutating it.
+//
 // The stringly-typed layer underneath (core.Driver.Call1, worker.CallOptions
 // literals) remains available to internal plumbing and benchmarks, but
 // application code should not need it.
@@ -99,6 +104,9 @@ func Shutdown(ctx context.Context, d *Driver) (CleanupReport, error) {
 
 // Get blocks until the future is available and returns its value — the
 // ray.get of Table 1, typed: the result type is carried by the reference.
+// Like Ray's get, which returns read-only values, a []byte result is a view
+// of the immutable stored object, shared with every reader on the node: copy
+// it before mutating it. Other types are decoded into fresh memory.
 func Get[T any](c Caller, ref ObjectRef[T]) (T, error) {
 	var out T
 	if ref.inline != nil {
@@ -117,7 +125,9 @@ func GetInto(c Caller, ref RawRef, out any) error {
 
 // Put stores a value in the object store and returns a typed future for it —
 // the ray.put of Table 1. Use it to share one large value across many task
-// submissions without re-serializing it into every task spec.
+// submissions without re-serializing it into every task spec. The value is
+// serialized once and the store keeps that buffer, so value itself stays the
+// caller's to reuse.
 func Put[T any](c Caller, value T) (ObjectRef[T], error) {
 	id, err := c.CallContext().Put(value)
 	return ObjectRef[T]{ID: id}, err

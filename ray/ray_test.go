@@ -3,6 +3,7 @@ package ray_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -607,5 +608,92 @@ func TestCheckpointRestoreThroughMethodTable(t *testing.T) {
 	newEntry, _, _ := rt.Cluster().GCS().GetActor(ctx, actor.Handle().ID)
 	if newEntry == nil || newEntry.Node == entry.Node {
 		t.Fatal("actor must have moved to a different node")
+	}
+}
+
+// TestAppendToByteArgumentLeavesObjectIntact: a []byte argument is a
+// read-only view of the stored object, adopted without a copy at Put. A task
+// that appends to it gets a fresh array, so a second reader on the same node
+// — and the driver — still see the original bytes.
+func TestAppendToByteArgumentLeavesObjectIntact(t *testing.T) {
+	cfg := ray.DefaultConfig()
+	cfg.Nodes = 2
+	cfg.LabelNodes = true
+	rt, err := ray.Init(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Shutdown)
+	d, err := rt.NewDriverOn(context.Background(), rt.Cluster().NodeList()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendTo, err := ray.Register1(rt, "append_suffix", "appends to its argument",
+		func(ctx *ray.Context, b []byte) ([]byte, error) { return append(b, "-appended"...), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo, err := ray.Register1(rt, "echo_bytes", "returns its argument",
+		func(ctx *ray.Context, b []byte) ([]byte, error) { return b, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ray.Put(d, []byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []int{0, 1} {
+		appended, err := appendTo.RemoteRef(d, ref, ray.OnNode(node))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ray.Get(d, appended); err != nil || string(got) != "payload-appended" {
+			t.Fatalf("node %d: append_suffix = %q, %v", node, got, err)
+		}
+		echoed, err := echo.RemoteRef(d, ref, ray.OnNode(node))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ray.Get(d, echoed); err != nil || string(got) != "payload" {
+			t.Fatalf("node %d: second reader got %q, %v; want the original bytes", node, got, err)
+		}
+	}
+	if got, err := ray.Get(d, ref); err != nil || string(got) != "payload" {
+		t.Fatalf("driver read %q, %v; want the original bytes", got, err)
+	}
+}
+
+// TestFailedMultiReturnErrorDecodesForEveryReturn: a failed task stores one
+// shared error payload under every return; each return still re-raises the
+// task's error at Get and when passed on to a dependent task.
+func TestFailedMultiReturnErrorDecodesForEveryReturn(t *testing.T) {
+	rt, d := newTestRuntime(t)
+	fail, err := ray.Register0R2(rt, "fail_pair", "always fails",
+		func(ctx *ray.Context) (int, int, error) { return 0, 0, errors.New("pair failed") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := ray.Register1(rt, "inc_after_fail", "adds one",
+		func(ctx *ray.Context, x int) (int, error) { return x + 1, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, r2, err := fail.Remote(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range []ray.ObjectRef[int]{r1, r2} {
+		_, err := ray.Get(d, ref)
+		var te *types.TaskError
+		if !errors.As(err, &te) || te.Message != "pair failed" {
+			t.Fatalf("return %d: Get error = %v, want the task's error", i, err)
+		}
+		next, err := inc.RemoteRef(d, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ray.Get(d, next); !errors.As(err, &te) || !strings.HasSuffix(te.Message, "pair failed") {
+			t.Fatalf("return %d: dependent task error = %v, want the upstream error", i, err)
+		}
 	}
 }
