@@ -7,6 +7,10 @@
 //	raybench -exp fig12a     # run one experiment
 //	raybench -list           # list experiment identifiers
 //	raybench -scale full     # larger configurations (slower)
+//	raybench -persist        # also write BENCH_<experiment>.json results
+//
+// Only -persist writes the BENCH_<experiment>.json files at the repository
+// root; running an experiment (from here or from a test) never does.
 package main
 
 import (
@@ -23,6 +27,7 @@ func main() {
 	exp := flag.String("exp", "", "experiment to run (empty = all); see -list")
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	list := flag.Bool("list", false, "list experiment identifiers and exit")
+	persist := flag.Bool("persist", false, "write each experiment's machine-readable result to BENCH_<experiment>.json at the repository root")
 	flag.Parse()
 
 	registry := bench.Registry()
@@ -57,6 +62,12 @@ func main() {
 		}
 		fmt.Println(table.String())
 		fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		if *persist && table.Result != nil {
+			if err := bench.Persist(*table.Result); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: persist: %v\n", name, err)
+				os.Exit(1)
+			}
+		}
 	}
 
 	if *exp != "" {

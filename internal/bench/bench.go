@@ -43,6 +43,11 @@ type Table struct {
 	Columns []string
 	// Rows are the result rows, one string per column.
 	Rows [][]string
+	// Result, when set, is the machine-readable form of the run, which
+	// raybench -persist writes to BENCH_<experiment>.json. Running an
+	// experiment never writes it itself, so tests leave the committed
+	// files alone.
+	Result *Result
 }
 
 // AddRow appends a formatted row.

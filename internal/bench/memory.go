@@ -77,10 +77,7 @@ func LargerThanMemory(scale Scale) (*Table, error) {
 		})
 	}
 
-	// Best-effort persistence: running outside the repo checkout (e.g. an
-	// installed binary) just skips the file.
-	//lint:ignore errdrop benchmark result persistence is best-effort; the numbers were already printed to stdout
-	_ = Persist(Result{
+	table.Result = &Result{
 		Experiment: "larger_than_memory",
 		Config: map[string]any{
 			"nodes":                    nodes,
@@ -95,7 +92,7 @@ func LargerThanMemory(scale Scale) (*Table, error) {
 		P50Millis:      primary.p50Millis,
 		P99Millis:      primary.p99Millis,
 		Rows:           rows,
-	})
+	}
 	return table, nil
 }
 

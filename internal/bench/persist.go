@@ -30,7 +30,8 @@ type Result struct {
 
 // Persist writes the result to BENCH_<experiment>.json at the repository
 // root (found by walking up to go.mod). Outside a repo checkout it reports
-// an error; callers that treat persistence as best-effort may ignore it.
+// an error. raybench -persist is its only caller: experiments attach their
+// Result to the returned Table instead of writing it.
 func Persist(r Result) error {
 	root, err := repoRoot()
 	if err != nil {

@@ -59,8 +59,7 @@ func TelemetryOverhead(scale Scale) (*Table, error) {
 			"ratio_vs_disabled": best[i] / disabled,
 		})
 	}
-	//lint:ignore errdrop benchmark result persistence is best-effort; the numbers were already printed to stdout
-	_ = Persist(Result{
+	table.Result = &Result{
 		Experiment: "telemetry_overhead",
 		Config: map[string]any{
 			"nodes":              nodes,
@@ -74,6 +73,6 @@ func TelemetryOverhead(scale Scale) (*Table, error) {
 		Throughput:     enabled,
 		ThroughputUnit: "tasks/s",
 		Rows:           rows,
-	})
+	}
 	return table, nil
 }

@@ -13,6 +13,7 @@
 package chain
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -131,7 +132,10 @@ func New(cfg Config) *Chain {
 	return c
 }
 
-// SetOnApply installs the tail-commit hook used for pub-sub.
+// SetOnApply installs the tail-commit hook used for pub-sub. The hook
+// receives the committed slice itself — the one every replica stores — so it
+// and everything it hands the value to must only read it (the GCS
+// subscribers unmarshal it).
 func (c *Chain) SetOnApply(fn func(key string, value []byte)) {
 	c.onApply.Store(&fn)
 }
@@ -151,7 +155,12 @@ func (c *Chain) Reconfigurations() int64 { return c.reconfigurations.Load() }
 // Put writes key=value through the chain. On replica failure it reports the
 // failure to the master, waits for reconfiguration, and retries, so callers
 // see increased latency rather than an error (unless every replica is gone).
+//
+// Put copies value once, so the caller may reuse its buffer as soon as Put
+// returns; every replica stores that one immutable copy (kv.Store.Put adopts
+// it), and the SetOnApply hook receives it too.
 func (c *Chain) Put(ctx context.Context, key string, value []byte) error {
+	value = bytes.Clone(value)
 	return c.writeWithRepair(ctx, fmt.Sprintf("put %q", key), func(ctx context.Context) error {
 		return c.tryPut(ctx, key, value)
 	})
@@ -189,6 +198,10 @@ func (c *Chain) writeWithRepair(ctx context.Context, what string, try func(conte
 // later duplicate key wins, exactly as with sequential Puts. On replica
 // failure the whole batch is retried after reconfiguration; replays are
 // idempotent because writes are last-writer-wins per key.
+//
+// As with Put, each value is copied once, so the caller may reuse the
+// values' buffers as soon as PutBatch returns, and every replica stores the
+// same immutable copy. The values slice itself is left untouched.
 func (c *Chain) PutBatch(ctx context.Context, keys []string, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("chain: batch size mismatch (%d keys, %d values)", len(keys), len(values))
@@ -196,6 +209,11 @@ func (c *Chain) PutBatch(ctx context.Context, keys []string, values [][]byte) er
 	if len(keys) == 0 {
 		return nil
 	}
+	committed := make([][]byte, len(values))
+	for i, v := range values {
+		committed[i] = bytes.Clone(v)
+	}
+	values = committed
 	return c.writeWithRepair(ctx, fmt.Sprintf("batch of %d puts", len(keys)), func(ctx context.Context) error {
 		return c.tryPutBatch(ctx, keys, values)
 	})

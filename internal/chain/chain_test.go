@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -356,6 +357,128 @@ func TestPutBatchSurvivesReplicaFailure(t *testing.T) {
 	for _, k := range keys {
 		if _, ok, _ := c.Get(ctx, k); !ok {
 			t.Fatalf("key %s lost across reconfiguration", k)
+		}
+	}
+}
+
+// TestCallerBufferReuseChangesNoReplica: Put and PutBatch copy at the
+// commit, so a caller reusing its buffers afterwards changes no replica.
+func TestCallerBufferReuseChangesNoReplica(t *testing.T) {
+	c := New(Config{ReplicationFactor: 3})
+	ctx := context.Background()
+	buf := []byte("put-value")
+	mustPut(t, c, "p", buf)
+	copy(buf, "XXXXXXXXX")
+	values := [][]byte{[]byte("batch-0"), []byte("batch-1")}
+	if err := c.PutBatch(ctx, []string{"b0", "b1"}, values); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range values {
+		copy(v, "YYYYYYY")
+	}
+	want := map[string]string{"p": "put-value", "b0": "batch-0", "b1": "batch-1"}
+	for _, r := range c.Replicas() {
+		for k, w := range want {
+			if v, ok := r.Store().Get(k); !ok || string(v) != w {
+				t.Fatalf("replica %s: %s = %q, want %q", r.ID, k, v, w)
+			}
+		}
+	}
+}
+
+// TestOneCopyPerCommit: the replicas share the committed copy, so a write
+// allocates the same on a 3-replica chain as on a 1-replica one.
+func TestOneCopyPerCommit(t *testing.T) {
+	ctx := context.Background()
+	value := make([]byte, 200)
+	keys := []string{"a", "b", "c", "d"}
+	values := [][]byte{value, value, value, value}
+	allocs := func(rf int, write func(*Chain)) float64 {
+		c := New(Config{ReplicationFactor: rf})
+		write(c) // create the keys, so the measured writes grow no map
+		return testing.AllocsPerRun(100, func() { write(c) })
+	}
+	put := func(c *Chain) { mustPut(t, c, "k", value) }
+	batch := func(c *Chain) {
+		if err := c.PutBatch(ctx, keys, values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if one, three := allocs(1, put), allocs(3, put); three != one {
+		t.Fatalf("Put allocates %.0f times on 3 replicas vs %.0f on 1: values are copied per replica", three, one)
+	}
+	if one, three := allocs(1, batch), allocs(3, batch); three != one {
+		t.Fatalf("PutBatch allocates %.0f times on 3 replicas vs %.0f on 1: values are copied per replica", three, one)
+	}
+}
+
+// TestGetResultIsACopy: mutating what Get returns leaves the chain intact.
+func TestGetResultIsACopy(t *testing.T) {
+	c := New(DefaultConfig())
+	ctx := context.Background()
+	mustPut(t, c, "k", []byte("stored"))
+	v, _, err := c.Get(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(v, "XXXXXX")
+	for _, r := range c.Replicas() {
+		if got, _ := r.Store().Get("k"); string(got) != "stored" {
+			t.Fatalf("replica %s: k = %q after mutating a Get result", r.ID, got)
+		}
+	}
+}
+
+// TestRejoinedReplicaIsByteExact: after KillReplica and repair, the replica
+// that joins by state transfer holds exactly the survivor's entries, and
+// later writes reach both.
+func TestRejoinedReplicaIsByteExact(t *testing.T) {
+	for _, pos := range []int{0, 1} {
+		c := New(Config{ReplicationFactor: 2, StateTransferBytesPerEntry: 64})
+		ctx := context.Background()
+		for i := 0; i < 50; i++ {
+			mustPut(t, c, fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, i))
+		}
+		if err := c.PutBatch(ctx, []string{"k07", "b"}, [][]byte{[]byte("over"), []byte("batch")}); err != nil {
+			t.Fatal(err)
+		}
+		c.KillReplica(pos)
+		if err := c.ReportFailure(ctx); err != nil {
+			t.Fatal(err)
+		}
+		reps := c.Replicas()
+		if len(reps) != 2 || c.Reconfigurations() != 1 {
+			t.Fatalf("kill %d: %d replicas after %d reconfigurations", pos, len(reps), c.Reconfigurations())
+		}
+		survivor, fresh := reps[0].Store().Snapshot(), reps[1].Store().Snapshot()
+		if len(fresh) != 51 || !reflect.DeepEqual(survivor, fresh) {
+			t.Fatalf("kill %d: rejoined replica holds %d entries, differs from survivor's %d", pos, len(fresh), len(survivor))
+		}
+		mustPut(t, c, "k07", []byte("after"))
+		for _, r := range c.Replicas() {
+			if v, _ := r.Store().Get("k07"); string(v) != "after" {
+				t.Fatalf("kill %d: replica %s k07 = %q after rejoin", pos, r.ID, v)
+			}
+		}
+	}
+}
+
+// BenchmarkChainPutBatch measures one batch commit of 256 entries of ~200 B
+// on a 2-replica chain, the shape of a full GCS batcher flush; run with
+// -benchmem for the bytes and allocations a commit costs.
+func BenchmarkChainPutBatch(b *testing.B) {
+	c := New(DefaultConfig())
+	ctx := context.Background()
+	keys := make([]string, 256)
+	values := make([][]byte, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("task/%016x", i)
+		values[i] = bytes.Repeat([]byte{byte(i)}, 200)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := c.PutBatch(ctx, keys, values); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -330,7 +330,9 @@ func (s *Store) get(ctx context.Context, si int, key string) ([]byte, bool, erro
 
 // publish is installed as every shard chain's tail-commit hook. The sends are
 // non-blocking and performed under the registry lock so that cancel (which
-// closes the channel under the same lock) can never race with a send.
+// closes the channel under the same lock) can never race with a send. value
+// is the committed slice every replica of the chain stores, so subscribers
+// must only read it; SubscribeObject unmarshals it into a fresh entry.
 func (s *Store) publish(key string, value []byte) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
@@ -543,7 +545,14 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Key prefixes for each table.
+// Key prefixes for each table. A table keyed by an identifier (object,
+// task, actor, node, job) uses the text prefix followed by the identifier's
+// types.IDSize raw bytes — not its hex form — so every such key is a fixed
+// len(prefix)+16 bytes and building one costs a single small allocation.
+// The prefix stays readable text, which is what prefix scans (shardKeys),
+// flushableKey and the flush log's consumers match on. The other tables key
+// by name (functions) or zero-padded decimal sequence numbers (events,
+// spans).
 const (
 	keyPrefixObject    = "obj/"
 	keyPrefixTask      = "task/"

@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -13,7 +14,7 @@ import (
 
 // --- Object table ------------------------------------------------------------
 
-func objectKey(id types.ObjectID) string { return keyPrefixObject + id.Hex() }
+func objectKey(id types.ObjectID) string { return keyPrefixObject + string(id[:]) }
 
 // AddObjectLocation records that node holds a replica of the object. It
 // creates the entry if needed and preserves existing locations (and the
@@ -141,7 +142,7 @@ func (s *Store) SubscribeObject(id types.ObjectID) (<-chan *ObjectEntry, func())
 
 // --- Task table ---------------------------------------------------------------
 
-func taskKey(id types.TaskID) string { return keyPrefixTask + id.Hex() }
+func taskKey(id types.TaskID) string { return keyPrefixTask + string(id[:]) }
 
 // AddTask records a task spec in the lineage table with PENDING status.
 func (s *Store) AddTask(ctx context.Context, spec *task.Spec) error {
@@ -187,7 +188,7 @@ func (s *Store) GetTask(ctx context.Context, id types.TaskID) (*TaskEntry, bool,
 
 // --- Actor table ---------------------------------------------------------------
 
-func actorKey(id types.ActorID) string { return keyPrefixActor + id.Hex() }
+func actorKey(id types.ActorID) string { return keyPrefixActor + string(id[:]) }
 
 // PutActor writes the actor table entry (creation, relocation, state change,
 // checkpoint update all go through here), indexing the actor under its
@@ -270,7 +271,7 @@ func (s *Store) GetFunction(ctx context.Context, name string) (*FunctionEntry, b
 
 // --- Node table ------------------------------------------------------------------
 
-func nodeKey(id types.NodeID) string { return keyPrefixNode + id.Hex() }
+func nodeKey(id types.NodeID) string { return keyPrefixNode + string(id[:]) }
 
 // RegisterNode adds a node to the cluster membership table.
 func (s *Store) RegisterNode(ctx context.Context, entry *NodeEntry) error {
@@ -449,7 +450,7 @@ func (s *Store) Nodes(ctx context.Context) ([]*NodeEntry, error) {
 		}
 		out = append(out, entry)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Hex() < out[j].ID.Hex() })
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].ID[:], out[j].ID[:]) < 0 })
 	return out, nil
 }
 
@@ -496,7 +497,7 @@ func (s *Store) AliveNodes(ctx context.Context) ([]*NodeEntry, error) {
 
 // --- Job table -------------------------------------------------------------------
 
-func jobKey(id types.JobID) string { return keyPrefixJob + id.Hex() }
+func jobKey(id types.JobID) string { return keyPrefixJob + string(id[:]) }
 
 // RegisterJob records a new job in the job table. Weights below 1 are
 // normalized to 1 (the default fair share).
@@ -595,7 +596,7 @@ func (s *Store) Jobs(ctx context.Context) ([]*JobEntry, error) {
 		if out[i].StartUnixNano != out[j].StartUnixNano {
 			return out[i].StartUnixNano < out[j].StartUnixNano
 		}
-		return out[i].ID.Hex() < out[j].ID.Hex()
+		return bytes.Compare(out[i].ID[:], out[j].ID[:]) < 0
 	})
 	return out, nil
 }

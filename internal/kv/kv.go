@@ -37,19 +37,21 @@ func NewStore() *Store {
 	return &Store{data: make(map[string][]byte)}
 }
 
-// Put stores value under key, replacing any previous value. The value slice
-// is copied so callers may reuse their buffers.
+// Put stores value under key, replacing any previous value. The store
+// adopts value without copying it: the caller hands over a slice that
+// nobody writes again. Chain replication relies on this: chain.Put and
+// chain.PutBatch copy each value once, at the commit, and every replica of
+// the chain then stores that same immutable slice. Readers never alias it,
+// because Get, Snapshot and Restore copy.
 func (s *Store) Put(key string, value []byte) {
-	v := make([]byte, len(value))
-	copy(v, value)
 	s.mu.Lock()
 	if old, ok := s.data[key]; ok {
 		s.bytes -= int64(len(old))
 	} else {
 		s.bytes += int64(len(key))
 	}
-	s.data[key] = v
-	s.bytes += int64(len(v))
+	s.data[key] = value
+	s.bytes += int64(len(value))
 	s.version++
 	s.mu.Unlock()
 }

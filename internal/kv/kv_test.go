@@ -35,19 +35,32 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
+// TestValueIsolation pins the ownership rule: Put adopts the caller's slice
+// (chain replication makes the one copy per commit), while Get, Snapshot and
+// Restore copy, so no reader or restored store aliases a stored value.
 func TestValueIsolation(t *testing.T) {
 	s := NewStore()
-	buf := []byte("mutable")
+	buf := []byte("adopted")
 	s.Put("k", buf)
-	buf[0] = 'X'
-	v, _ := s.Get("k")
-	if string(v) != "mutable" {
-		t.Fatal("store must copy values on Put")
+	buf[0] = 'A'
+	if v, _ := s.Get("k"); string(v) != "Adopted" {
+		t.Fatalf("Put must adopt the caller's slice without copying it; stored %q", v)
 	}
+	v, _ := s.Get("k")
 	v[0] = 'Y'
-	v2, _ := s.Get("k")
-	if string(v2) != "mutable" {
-		t.Fatal("store must copy values on Get")
+	if v2, _ := s.Get("k"); string(v2) != "Adopted" {
+		t.Fatalf("store must copy values on Get; stored %q", v2)
+	}
+	snap := s.Snapshot()
+	snap[0].Value[0] = 'S'
+	if v2, _ := s.Get("k"); string(v2) != "Adopted" {
+		t.Fatalf("store must copy values on Snapshot; stored %q", v2)
+	}
+	restored := NewStore()
+	restored.Restore(snap)
+	snap[0].Value[0] = 'R'
+	if v2, _ := restored.Get("k"); string(v2) != "Sdopted" {
+		t.Fatalf("store must copy values on Restore; stored %q", v2)
 	}
 }
 
